@@ -9,7 +9,10 @@
 //!   synthetic commit schedule),
 //! * a 22-dimensional tuning run with the three write dimensions frozen
 //!   at [`WriteKnobs::DEFAULT`] reproduces the 19-dimensional pinning run
-//!   bit for bit — serial, batched, and under mixed serving composition.
+//!   bit for bit — serial, batched, and under mixed serving composition,
+//! * a golden digest pins the mixed event loop's exact schedule over a
+//!   grid that exercises every event kind (arrivals, ticks, commit
+//!   completions, consistency retries), parking and shedding.
 
 use proptest::prelude::*;
 use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
@@ -19,6 +22,7 @@ use vdtuner::vdms::writepath::{Admission, WalSim, WriteKnobs};
 use vdtuner::vdms::{CostModel, PinningPolicy};
 use vdtuner::workload::serving::{
     simulate_pinned, simulate_pinned_mixed, simulate_replicated, simulate_replicated_mixed,
+    ServingTrace,
 };
 use vdtuner::workload::{TopologyBackend, WriteStats};
 
@@ -181,6 +185,117 @@ proptest! {
             prev = t;
         }
     }
+}
+
+/// FNV-1a over a stream of 64-bit words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    /// Every field of the trace the schedule determines: each event bit
+    /// for bit, the queue high-water mark and the full write ledger.
+    fn trace(&mut self, t: &ServingTrace) {
+        for e in &t.events {
+            self.word(e.arrival_secs.to_bits());
+            self.word(e.consistency_wait_secs.to_bits());
+            self.word(e.service_secs.to_bits());
+            self.word(e.finish_secs.to_bits());
+            self.word(u64::from(e.shed));
+            self.word(e.replica as u64);
+        }
+        self.word(t.events.len() as u64);
+        self.word(t.slots as u64);
+        self.word(t.replicas as u64);
+        self.word(t.max_queue_depth as u64);
+        let w = t.writes;
+        for v in [
+            w.offered,
+            w.accepted,
+            w.shed,
+            w.flushes_full_batch,
+            w.flushes_end_of_tick,
+            w.segments_sealed,
+            w.compactions,
+        ] {
+            self.word(v as u64);
+        }
+        self.word(w.last_durable_lsn);
+    }
+}
+
+/// Golden pin of the mixed event loop: the exact schedule — every event
+/// field, the queue high-water mark and the write ledger — over a compact
+/// grid of shared and smt-avoid pools × JSQ and random routing × a
+/// gracefulTime of zero (queries outrun the commits covering them and
+/// retry at the next tick) and a short one × knobs that fill batches
+/// between ticks, seal and compact, and a one-row window that backs up,
+/// parks and sheds against a four-deep queue bound. Any change to event
+/// ordering, tie-breaking or pricing moves the digest; a pure speedup of
+/// the loop must leave it untouched.
+#[test]
+fn mixed_serving_schedule_matches_golden_digest() {
+    let model = CostModel::default();
+    let base = ServingSpec {
+        arrival_qps: 1_500.0,
+        burstiness: 1.0,
+        requests: 500,
+        queue_capacity: 4,
+        ..Default::default()
+    }
+    .with_inserts(1.0);
+    let knob_sets = [
+        WriteKnobs { wal_batch_rows: 4, flush_interval_secs: 0.01, seal_rows: 16 },
+        WriteKnobs { wal_batch_rows: 1, flush_interval_secs: 0.02, seal_rows: 64 },
+    ];
+    let mut fnv = Fnv::new();
+    let mut ledger = WriteStats::default();
+    let (mut queries_shed, mut waited) = (0usize, 0usize);
+    for policy in [PinningPolicy::Shared, PinningPolicy::SmtAvoid] {
+        for routing in [RoutingPolicy::JoinShortestQueue, RoutingPolicy::Random { seed: 5 }] {
+            for graceful_time_ms in [0.0, 3.0] {
+                for knobs in knob_sets {
+                    let sys = SystemParams {
+                        max_read_concurrency: 4,
+                        graceful_time_ms,
+                        ..Default::default()
+                    };
+                    let spec = base.with_routing(routing);
+                    let t =
+                        simulate_pinned_mixed(&model, &sys, 0.004, &spec, 11, 2, policy, 10, knobs);
+                    fnv.trace(&t);
+                    queries_shed += t.events.iter().filter(|e| e.shed).count();
+                    waited += t.events.iter().filter(|e| e.consistency_wait_secs > 0.0).count();
+                    let w = t.writes;
+                    ledger.offered += w.offered;
+                    ledger.shed += w.shed;
+                    ledger.flushes_full_batch += w.flushes_full_batch;
+                    ledger.flushes_end_of_tick += w.flushes_end_of_tick;
+                    ledger.segments_sealed += w.segments_sealed;
+                    ledger.compactions += w.compactions;
+                }
+            }
+        }
+    }
+    // The grid really reaches every branch the digest is meant to pin.
+    assert!(queries_shed > 0, "the queue bound must shed queries");
+    assert!(ledger.shed > 0, "the one-row window must overflow its parking queue");
+    assert!(ledger.flushes_full_batch > 0 && ledger.flushes_end_of_tick > 0, "{ledger:?}");
+    assert!(ledger.segments_sealed > 0 && ledger.compactions > 0, "{ledger:?}");
+    assert!(waited > 0, "tight gracefulTime must make queries wait on commits");
+    assert_eq!(
+        fnv.0, 0x79ba_6ca2_a3a3_7fef,
+        "golden digest of the mixed schedule: {:#018x}",
+        fnv.0
+    );
 }
 
 /// Bit-level fingerprint of a tuning history: the base configuration (the
