@@ -239,6 +239,44 @@ fn bench_pinned_replay(c: &mut Criterion) {
     g.finish();
 }
 
+/// The mixed read/write serving loop on its own: 20,000 queries plus
+/// 10,000 inserts (50%) served by two replica groups with the default
+/// write knobs, once over the shared slot pool and once over smt-avoid
+/// shard reactors — the event loop the serving-aware backends spend
+/// their time in.
+fn bench_mixed_serving(c: &mut Criterion) {
+    use vdms::system_params::SystemParams;
+    use vdms::{CostModel, PinningPolicy, WriteKnobs};
+    use workload::serving::simulate_pinned_mixed;
+    use workload::ServingSpec;
+    let model = CostModel::default();
+    let sys = SystemParams::default();
+    let spec = ServingSpec { arrival_qps: 2_000.0, requests: 20_000, ..Default::default() }
+        .with_inserts(0.5);
+    let mut g = c.benchmark_group("serving");
+    for (name, policy) in [
+        ("mixed_20k_shared", PinningPolicy::Shared),
+        ("mixed_20k_smt_avoid", PinningPolicy::SmtAvoid),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                simulate_pinned_mixed(
+                    &model,
+                    &sys,
+                    black_box(0.004),
+                    &spec,
+                    7,
+                    2,
+                    policy,
+                    10,
+                    WriteKnobs::DEFAULT,
+                )
+            })
+        });
+    }
+    g.finish();
+}
+
 fn training_data(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     let x = latin_hypercube(n, d, 7);
     let y: Vec<f64> = x.iter().map(|p| (p[0] * 4.0).sin() + p[1] * 2.0).collect();
@@ -289,6 +327,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_distance, bench_kernels, bench_index_build, bench_index_search,
-              bench_replay, bench_pinned_replay, bench_gp, bench_acquisition, bench_tuner_propose
+              bench_replay, bench_pinned_replay, bench_mixed_serving, bench_gp, bench_acquisition,
+              bench_tuner_propose
 }
 criterion_main!(benches);

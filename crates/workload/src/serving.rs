@@ -599,8 +599,11 @@ pub fn simulate_pinned(
     }
 }
 
-/// One event of the mixed read/write loop. Inserts are indistinguishable
-/// until the WAL assigns an LSN, so their event carries no payload.
+/// One event of the mixed read/write loop. Arrivals come from the two
+/// pre-sorted [`Arrivals`] streams; only the events the loop schedules
+/// while it runs (ticks, commit completions, retries) go through the heap.
+/// Inserts are indistinguishable until the WAL assigns an LSN, so their
+/// event carries no payload.
 enum Ev {
     /// Query `i` arrives.
     Query(usize),
@@ -644,6 +647,70 @@ impl Ord for Scheduled {
     fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
         (other.time_bits, other.seq).cmp(&(self.time_bits, self.seq))
     }
+}
+
+/// One arrival stream of the mixed loop, walked by a cursor. The times
+/// are prefix sums of non-negative gaps, hence already sorted — no heap
+/// needed. Entry `k` carries sequence number `seq_base + k + 1`, so
+/// `(time_bits, seq)` keys compare against the dynamic events' exactly as
+/// if every arrival had been pushed onto one heap before the first tick.
+struct Arrivals {
+    times: Vec<f64>,
+    next: usize,
+    seq_base: u64,
+}
+
+impl Arrivals {
+    /// Accumulate `gaps` serially, in index order — the same running sum
+    /// the read-only loops advance their arrival clock by.
+    fn new(gaps: impl Iterator<Item = f64>, seq_base: u64) -> Arrivals {
+        let mut clock = 0.0f64;
+        let times = gaps
+            .map(|gap| {
+                clock += gap;
+                clock
+            })
+            .collect();
+        Arrivals { times, next: 0, seq_base }
+    }
+
+    /// `(time_bits, seq)` of the next arrival, if any remain.
+    fn head(&self) -> Option<(u64, u64)> {
+        let t = self.times.get(self.next)?;
+        Some((t.to_bits(), self.seq_base + self.next as u64 + 1))
+    }
+
+    /// Consume the head; returns its index in the stream.
+    fn advance(&mut self) -> usize {
+        self.next += 1;
+        self.next - 1
+    }
+
+    fn pending(&self) -> bool {
+        self.next < self.times.len()
+    }
+}
+
+/// Take the earliest pending event by `(time_bits, seq)` across both
+/// arrival streams and the dynamic-event heap — a three-way merge that
+/// replays exactly the order one heap over all events would pop.
+fn pop_next(
+    queries: &mut Arrivals,
+    inserts: &mut Arrivals,
+    heap: &mut BinaryHeap<Scheduled>,
+) -> Option<(f64, Ev)> {
+    let (query, insert) = (queries.head(), inserts.head());
+    let dynamic = heap.peek().map(|s| (s.time_bits, s.seq));
+    let key = [query, insert, dynamic].into_iter().flatten().min()?;
+    let ev = if Some(key) == query {
+        Ev::Query(queries.advance())
+    } else if Some(key) == insert {
+        inserts.advance();
+        Ev::Insert
+    } else {
+        heap.pop().expect("the earliest key is the heap's top").ev
+    };
+    Some((f64::from_bits(key.0), ev))
 }
 
 fn sched(heap: &mut BinaryHeap<Scheduled>, seq: &mut u64, at: f64, ev: Ev) {
@@ -777,9 +844,14 @@ fn schedule_commit(
     sched(heap, seq, finish, Ev::FlushDone(job.upto_lsn));
 }
 
-/// The discrete-event core of the mixed read/write simulation: one heap
-/// orders query arrivals, insert arrivals, flush ticks, commit
-/// completions and deferred consistency retries by `(time, push order)`.
+/// The discrete-event core of the mixed read/write simulation. Query and
+/// insert arrivals are two pre-sorted [`Arrivals`] streams; flush ticks,
+/// commit completions and deferred consistency retries — the events the
+/// loop schedules as it runs — live in a heap. Every step takes the
+/// earliest `(time, seq)` key among the two stream heads and the heap top
+/// ([`pop_next`]); the sequence numbers are the ones a single heap over
+/// all events would assign (arrivals pushed first, queries before
+/// inserts), so the merge pops exactly that heap's order.
 /// The loop is serial (all draws are precomputed pure functions of their
 /// index), so the trace is bit-identical across thread counts, like the
 /// read-only loops it generalizes.
@@ -829,18 +901,14 @@ fn simulate_mixed(
     let graceful_secs = sys.graceful_time_ms.max(0.0) / 1_000.0;
     let replica_lag_secs = CostModel::replica_lag_ms(replicas) / 1_000.0;
 
+    // Arrivals take sequence numbers `1..=n` (queries) and
+    // `n+1..=n+n_inserts` (inserts); dynamic events number on from there,
+    // so same-instant ties resolve queries first, then inserts, then
+    // ticks, commit completions and retries in scheduling order.
+    let mut queries = Arrivals::new(qdraws.iter().map(|&(gap, _)| gap), 0);
+    let mut inserts = Arrivals::new(igaps.into_iter(), n as u64);
     let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut clock = 0.0f64;
-    for (i, &(gap, _)) in qdraws.iter().enumerate() {
-        clock += gap;
-        sched(&mut heap, &mut seq, clock, Ev::Query(i));
-    }
-    let mut iclock = 0.0f64;
-    for &gap in &igaps {
-        iclock += gap;
-        sched(&mut heap, &mut seq, iclock, Ev::Insert);
-    }
+    let mut seq = (n + n_inserts) as u64;
     let mut next_tick = interval;
     sched(&mut heap, &mut seq, next_tick, Ev::Tick);
 
@@ -850,8 +918,7 @@ fn simulate_mixed(
     let mut max_queue_depth = 0usize;
     let mut last_commit_finish = 0.0f64;
 
-    while let Some(Scheduled { time_bits, ev, .. }) = heap.pop() {
-        let now = f64::from_bits(time_bits);
+    while let Some((now, ev)) = pop_next(&mut queries, &mut inserts, &mut heap) {
         match ev {
             Ev::Query(i) => {
                 // Drain started requests so the router sees current depths.
@@ -952,9 +1019,10 @@ fn simulate_mixed(
                     );
                 }
                 // Keep ticking while anything can still need a deadline
-                // flush: events ahead, or un-drained write state. This is
-                // the end-of-run drain — backpressure delays, never drops.
-                if !heap.is_empty() || !wal.drained() {
+                // flush: arrivals or events ahead, or un-drained write
+                // state. This is the end-of-run drain — backpressure
+                // delays, never drops.
+                if queries.pending() || inserts.pending() || !heap.is_empty() || !wal.drained() {
                     next_tick = now + interval;
                     sched(&mut heap, &mut seq, next_tick, Ev::Tick);
                 }

@@ -10,6 +10,10 @@
 //! * a 22-dimensional tuning run with the three write dimensions frozen
 //!   at [`WriteKnobs::DEFAULT`] reproduces the 19-dimensional pinning run
 //!   bit for bit — serial, batched, and under mixed serving composition,
+//! * every mixed trace satisfies the conservation and ordering laws —
+//!   requests and inserts are accounted for, no request finishes before
+//!   it became eligible, arrivals are ordered, percentiles are ordered
+//!   (by property over random specs, knobs, replicas and pinning),
 //! * a golden digest pins the mixed event loop's exact schedule over a
 //!   grid that exercises every event kind (arrivals, ticks, commit
 //!   completions, consistency retries), parking and shedding.
@@ -187,6 +191,88 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Trace invariants of the mixed simulator over random arrival
+    /// processes, queue bounds, write knobs, gracefulTime, replicas and
+    /// pinning: every offered request completes or is shed, every offered
+    /// insert is accepted or shed and every accepted one ends durable, no
+    /// request starts before it arrived or finishes before its
+    /// consistency wait ends, query arrivals are non-decreasing in index,
+    /// and the latency percentiles are ordered.
+    #[test]
+    fn mixed_traces_satisfy_conservation_and_ordering_laws(
+        arrival_qps in 50.0f64..3_000.0,
+        burstiness in 0.0f64..3.0,
+        requests in 1usize..400,
+        queue_capacity in 1usize..64,
+        route_seed in 0u64..3,
+        insert_fraction in 0.0f64..1.5,
+        batch in 1usize..128,
+        interval in 0.005f64..0.1,
+        seal in 16usize..512,
+        graceful_time_ms in 0.0f64..50.0,
+        concurrency in 1usize..16,
+        base_service_secs in 0.0005f64..0.02,
+        replicas in 1usize..=3,
+        policy_ord in 0usize..4,
+        seed in 0u64..1_000,
+    ) {
+        let model = CostModel::default();
+        let sys = SystemParams {
+            max_read_concurrency: concurrency,
+            graceful_time_ms,
+            ..Default::default()
+        };
+        // Route seed 0 stands for join-shortest-queue.
+        let routing = match route_seed {
+            0 => RoutingPolicy::JoinShortestQueue,
+            s => RoutingPolicy::Random { seed: s },
+        };
+        let spec = ServingSpec {
+            arrival_qps,
+            burstiness,
+            requests,
+            queue_capacity,
+            routing,
+            ..Default::default()
+        }
+        .with_inserts(insert_fraction);
+        let knobs = knobs_from(batch, interval, seal);
+        let policy = PinningPolicy::from_ordinal(policy_ord);
+        let trace = simulate_pinned_mixed(
+            &model, &sys, base_service_secs, &spec, seed, replicas, policy, 10, knobs,
+        );
+        let stats = trace.stats(&spec);
+
+        prop_assert_eq!(trace.events.len(), requests);
+        prop_assert_eq!(stats.completed + stats.shed, requests);
+        let w = trace.writes;
+        prop_assert_eq!(w.accepted + w.shed, w.offered);
+        prop_assert_eq!(w.last_durable_lsn as usize, w.accepted);
+
+        let mut prev_arrival = 0.0f64;
+        for (i, e) in trace.events.iter().enumerate() {
+            let eligible = e.arrival_secs + e.consistency_wait_secs;
+            prop_assert!(
+                e.arrival_secs <= eligible && eligible <= e.finish_secs,
+                "event {}: arrival {} eligible {} finish {}",
+                i, e.arrival_secs, eligible, e.finish_secs
+            );
+            prop_assert!(
+                e.arrival_secs >= prev_arrival,
+                "event {} arrives at {} before its predecessor at {}",
+                i, e.arrival_secs, prev_arrival
+            );
+            prev_arrival = e.arrival_secs;
+            prop_assert!(e.replica < replicas);
+        }
+        prop_assert!(stats.p50_latency_secs <= stats.p95_latency_secs);
+        prop_assert!(stats.p95_latency_secs <= stats.p99_latency_secs);
+    }
+}
+
 /// FNV-1a over a stream of 64-bit words (little-endian bytes).
 struct Fnv(u64);
 
@@ -275,7 +361,6 @@ fn mixed_serving_schedule_matches_golden_digest() {
                     queries_shed += t.events.iter().filter(|e| e.shed).count();
                     waited += t.events.iter().filter(|e| e.consistency_wait_secs > 0.0).count();
                     let w = t.writes;
-                    ledger.offered += w.offered;
                     ledger.shed += w.shed;
                     ledger.flushes_full_batch += w.flushes_full_batch;
                     ledger.flushes_end_of_tick += w.flushes_end_of_tick;
