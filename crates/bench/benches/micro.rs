@@ -239,11 +239,11 @@ fn bench_pinned_replay(c: &mut Criterion) {
     g.finish();
 }
 
-/// The mixed read/write serving loop on its own: 20,000 queries plus
-/// 10,000 inserts (50%) served by two replica groups with the default
-/// write knobs, once over the shared slot pool and once over smt-avoid
-/// shard reactors — the event loop the serving-aware backends spend
-/// their time in.
+/// The serving event loop on its own: 20,000 queries served by two
+/// replica groups, once over the shared slot pool and once over smt-avoid
+/// shard reactors — with 10,000 inserts (50%) under the default write
+/// knobs, and read-only (no inserts) — the loop the serving-aware
+/// backends spend their time in.
 fn bench_mixed_serving(c: &mut Criterion) {
     use vdms::system_params::SystemParams;
     use vdms::{CostModel, PinningPolicy, WriteKnobs};
@@ -253,10 +253,13 @@ fn bench_mixed_serving(c: &mut Criterion) {
     let sys = SystemParams::default();
     let spec = ServingSpec { arrival_qps: 2_000.0, requests: 20_000, ..Default::default() }
         .with_inserts(0.5);
+    let read_only = ServingSpec { insert_fraction: 0.0, ..spec };
     let mut g = c.benchmark_group("serving");
-    for (name, policy) in [
-        ("mixed_20k_shared", PinningPolicy::Shared),
-        ("mixed_20k_smt_avoid", PinningPolicy::SmtAvoid),
+    for (name, policy, spec) in [
+        ("mixed_20k_shared", PinningPolicy::Shared, &spec),
+        ("mixed_20k_smt_avoid", PinningPolicy::SmtAvoid, &spec),
+        ("readonly_20k_shared", PinningPolicy::Shared, &read_only),
+        ("readonly_20k_smt_avoid", PinningPolicy::SmtAvoid, &read_only),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {
@@ -264,7 +267,7 @@ fn bench_mixed_serving(c: &mut Criterion) {
                     &model,
                     &sys,
                     black_box(0.004),
-                    &spec,
+                    spec,
                     7,
                     2,
                     policy,

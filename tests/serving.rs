@@ -6,7 +6,9 @@
 //!   offline backend's QPS/recall,
 //! * `gracefulTime` is finally load-bearing: the knob moves serving p99 in
 //!   a regime where the offline mean-field model attributes *exactly zero*
-//!   to it (the SHAP contrast the motivation figure needs).
+//!   to it (the SHAP contrast the motivation figure needs),
+//! * a golden digest pins the read-only schedule of every entry point —
+//!   shared pool and reactors, both routers, waiting and shedding.
 
 use proptest::prelude::*;
 use vdtuner::core::shap::shapley_attribution;
@@ -14,8 +16,13 @@ use vdtuner::core::{TunerOptions, VdTuner};
 use vdtuner::prelude::*;
 use vdtuner::vdms::cost_model::CostModel;
 use vdtuner::vdms::system_params::SystemParams;
-use vdtuner::workload::serving::{simulate, simulate_replicated};
-use vdtuner::workload::{Evaluator, ServingBackend, ServingSpec, SimBackend};
+use vdtuner::vdms::writepath::WriteKnobs;
+use vdtuner::vdms::PinningPolicy;
+use vdtuner::workload::serving::{
+    simulate, simulate_pinned, simulate_pinned_mixed, simulate_replicated,
+    simulate_replicated_mixed, ServingTrace,
+};
+use vdtuner::workload::{Evaluator, ServingBackend, ServingSpec, SimBackend, WriteStats};
 
 fn tiny_workload() -> Workload {
     Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10)
@@ -277,4 +284,137 @@ fn serving_over_topology_backend_supports_co_tuning() {
     let obs = ev.observe(&cfg, 0.0);
     assert!(!obs.failed);
     assert!(obs.serving.is_some(), "sharded serving still records stats");
+}
+
+/// FNV-1a over 64-bit words — a digest stable across platforms and runs.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    /// Every field of the trace the schedule determines: each event bit
+    /// for bit, the deployment shape, the queue high-water mark and the
+    /// write ledger (all zero on the read-only path).
+    fn trace(&mut self, t: &ServingTrace) {
+        for e in &t.events {
+            self.word(e.arrival_secs.to_bits());
+            self.word(e.consistency_wait_secs.to_bits());
+            self.word(e.service_secs.to_bits());
+            self.word(e.finish_secs.to_bits());
+            self.word(u64::from(e.shed));
+            self.word(e.replica as u64);
+        }
+        self.word(t.events.len() as u64);
+        self.word(t.slots as u64);
+        self.word(t.replicas as u64);
+        self.word(t.max_queue_depth as u64);
+        let w = t.writes;
+        for v in [
+            w.offered,
+            w.accepted,
+            w.shed,
+            w.flushes_full_batch,
+            w.flushes_end_of_tick,
+            w.segments_sealed,
+            w.compactions,
+        ] {
+            self.word(v as u64);
+        }
+        self.word(w.last_durable_lsn);
+    }
+}
+
+/// Every public entry point over one deployment: the unreplicated and
+/// replicated shared pools, each pinning policy, and the mixed entry points
+/// under `spec` (read-only whenever `spec` offers no inserts). The
+/// read-only entry points also run under a spec that *does* offer inserts,
+/// which they must ignore.
+fn every_entry_point(
+    model: &CostModel,
+    sys: &SystemParams,
+    spec: &ServingSpec,
+    replicas: usize,
+    knobs: WriteKnobs,
+) -> Vec<ServingTrace> {
+    let mut traces = Vec::new();
+    for s in [*spec, spec.with_inserts(0.7)] {
+        traces.push(simulate(model, sys, 0.004, &s, 11));
+        traces.push(simulate_replicated(model, sys, 0.004, &s, 11, replicas));
+        for policy in PinningPolicy::ALL {
+            traces.push(simulate_pinned(model, sys, 0.004, &s, 11, replicas, policy, 10));
+        }
+    }
+    traces.push(simulate_replicated_mixed(model, sys, 0.004, spec, 11, replicas, knobs));
+    for policy in PinningPolicy::ALL {
+        traces
+            .push(simulate_pinned_mixed(model, sys, 0.004, spec, 11, replicas, policy, 10, knobs));
+    }
+    traces
+}
+
+/// Golden pin of the read-only serving schedule: every event field, the
+/// deployment shape and the queue high-water mark of all five entry points
+/// over every pinning policy × JSQ and random routing × one and three
+/// replicas × a gracefulTime of zero, a short one and one that covers the
+/// ingest lag, against a four-deep queue bound — plus the empty runs of a
+/// zero arrival rate and a zero request budget. Any change to routing,
+/// tie-breaking, consistency waits or pricing moves the digest; a
+/// restructuring of the loop must leave it untouched.
+#[test]
+fn read_only_serving_schedule_matches_golden_digest() {
+    let model = CostModel::default();
+    let base = ServingSpec {
+        arrival_qps: 1_500.0,
+        burstiness: 1.0,
+        requests: 400,
+        queue_capacity: 4,
+        ..Default::default()
+    };
+    let knobs = WriteKnobs { wal_batch_rows: 4, flush_interval_secs: 0.01, seal_rows: 16 };
+    let mut fnv = Fnv::new();
+    let (mut events, mut shed, mut waited) = (0usize, 0usize, 0usize);
+    for routing in [RoutingPolicy::JoinShortestQueue, RoutingPolicy::Random { seed: 5 }] {
+        for replicas in [1, 3] {
+            for graceful_time_ms in [0.0, 3.0, 500.0] {
+                let sys = SystemParams {
+                    max_read_concurrency: 4,
+                    graceful_time_ms,
+                    ..Default::default()
+                };
+                let spec = base.with_routing(routing);
+                for t in every_entry_point(&model, &sys, &spec, replicas, knobs) {
+                    assert_eq!(t.writes, WriteStats::default(), "read-only runs write nothing");
+                    fnv.trace(&t);
+                    events += t.events.len();
+                    shed += t.events.iter().filter(|e| e.shed).count();
+                    waited += t.events.iter().filter(|e| e.consistency_wait_secs > 0.0).count();
+                }
+            }
+        }
+    }
+    // Nothing arrives, yet each trace still reports its deployment shape.
+    let sys = SystemParams { max_read_concurrency: 4, ..Default::default() };
+    for spec in [base.at_rate(0.0), ServingSpec { requests: 0, ..base }] {
+        for t in every_entry_point(&model, &sys, &spec.with_inserts(0.7), 3, knobs) {
+            assert!(t.events.is_empty());
+            fnv.trace(&t);
+        }
+    }
+    // The grid really reaches every branch the digest is meant to pin.
+    assert_eq!(events, 2 * 2 * 3 * 17 * 400);
+    assert!(shed > 0, "the queue bound must shed queries");
+    assert!(waited > 0, "a short gracefulTime must make queries wait for the watermark");
+    assert_eq!(
+        fnv.0, 0x451d_e535_3c38_dc1a,
+        "golden digest of the read-only schedule: {:#018x}",
+        fnv.0
+    );
 }
