@@ -33,6 +33,26 @@
 //!   ([`vdms::WalSim::durable_time_of`]) instead of the analytic
 //!   quantized watermark.
 //!
+//! **One event loop** serves every entry point. Two plain values select
+//! what it simulates:
+//!
+//! * the *worker pool* — per replica group, either one shared pool of
+//!   [`vdms::CostModel::serving_slots`] slots ([`PinningPolicy::Shared`])
+//!   or single-owner shard reactors (any other pinning policy);
+//! * the *consistency model* — without write knobs, queries wait for the
+//!   analytic watermark
+//!   ([`vdms::CostModel::consistency_wait_secs_replicated`]) and no insert
+//!   arrives; with them, inserts flow through a [`vdms::WalSim`] and
+//!   queries wait for its durability events.
+//!
+//! | entry point | pool | consistency |
+//! |---|---|---|
+//! | [`simulate`] | shared, one group | watermark |
+//! | [`simulate_replicated`] | shared | watermark |
+//! | [`simulate_pinned`] | by pinning policy | watermark |
+//! | [`simulate_replicated_mixed`] | shared | WAL when inserts are offered |
+//! | [`simulate_pinned_mixed`] | by pinning policy | WAL when inserts are offered |
+//!
 //! **Determinism is the contract**: every random draw is a pure function of
 //! `(seed, query index)`, the parallel service-time precomputation uses an
 //! order-stable collect, and the event loop itself is serial — so the same
@@ -41,12 +61,14 @@
 //! thread invariance by property).
 
 use rayon::prelude::*;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vdms::cluster::RoutingPolicy;
 use vdms::cost_model::CostModel;
 use vdms::system_params::SystemParams;
 use vdms::topology::PinningPolicy;
 use vdms::writepath::{FlushJob, FlushReason, WalSim, WriteKnobs};
+use vecdata::rng::derive;
 
 /// The open-loop arrival process and serving-level objectives of one
 /// simulation run. `Copy` so backends can embed it freely.
@@ -91,8 +113,9 @@ pub struct ServingSpec {
     /// insert_fraction`, and `requests * insert_fraction` (rounded) of
     /// them are simulated — so the insert:query mix is a scenario axis,
     /// not a split of the query budget. `0.0` (the default) disables the
-    /// write path entirely: the mixed simulators delegate to the
-    /// read-only ones bit for bit.
+    /// write path entirely: the mixed entry points then wait on the
+    /// analytic watermark and serve the read-only schedule bit for bit.
+    /// The read-only entry points ignore this field.
     pub insert_fraction: f64,
 }
 
@@ -275,16 +298,11 @@ impl ServingStats {
     }
 }
 
-/// SplitMix64 finalizer over `(seed, stream, index)` — every per-query
-/// draw routes through this, which is what makes each draw a pure function
-/// of its index (and the precomputation thread-count invariant).
-fn mix(seed: u64, stream: u64, index: u64) -> u64 {
-    let mut z = seed
-        ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ index.wrapping_mul(0xD2B7_4407_B1CE_6E93);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Draw `index` of a per-request random stream: [`derive`] keyed by the
+/// index, so every draw is a pure function of `(seed, stream, index)` —
+/// what makes the precomputation thread-count invariant.
+fn draw(seed: u64, stream: u64, index: u64) -> u64 {
+    derive(seed ^ index.wrapping_mul(0xD2B7_4407_B1CE_6E93), stream)
 }
 
 /// A uniform draw in `(0, 1]` from 53 high bits (never exactly zero, so
@@ -293,46 +311,35 @@ fn unit(bits: u64) -> f64 {
     (((bits >> 11) + 1) as f64) / (1u64 << 53) as f64
 }
 
-const STREAM_ARRIVAL: u64 = 0x5E21;
-const STREAM_BURST: u64 = 0x5E22;
+/// Gap and burst streams of the query arrival process.
+const QUERY_STREAMS: (u64, u64) = (0x5E21, 0x5E22);
+/// Gap and burst streams of the insert arrival process.
+const INSERT_STREAMS: (u64, u64) = (0x5E25, 0x5E26);
 const STREAM_JITTER: u64 = 0x5E23;
 const STREAM_ROUTE: u64 = 0x5E24;
-const STREAM_INS_ARRIVAL: u64 = 0x5E25;
-const STREAM_INS_BURST: u64 = 0x5E26;
 
-/// Inter-arrival gap before query `i`: an exponential draw at the mean
-/// rate, scaled by the two-point burstiness mixture (mean exactly 1).
-fn interarrival_secs(spec: &ServingSpec, seed: u64, i: u64) -> f64 {
-    let exp = -unit(mix(seed, STREAM_ARRIVAL, i)).ln() / spec.arrival_qps.max(1e-9);
-    let b = spec.burstiness.max(0.0);
-    let tight = 1.0 / (1.0 + b);
-    let scale = if mix(seed, STREAM_BURST, i) & 1 == 0 { tight } else { 2.0 - tight };
-    exp * scale
-}
-
-/// Inter-arrival gap before insert `j`: the same exponential-with-
-/// burstiness process as queries, on independent streams, at
-/// `arrival_qps * insert_fraction`.
-fn insert_interarrival_secs(spec: &ServingSpec, seed: u64, j: u64) -> f64 {
-    let rate = (spec.arrival_qps * spec.insert_fraction).max(1e-9);
-    let exp = -unit(mix(seed, STREAM_INS_ARRIVAL, j)).ln() / rate;
-    let b = spec.burstiness.max(0.0);
-    let tight = 1.0 / (1.0 + b);
-    let scale = if mix(seed, STREAM_INS_BURST, j) & 1 == 0 { tight } else { 2.0 - tight };
+/// Inter-arrival gap before request `i` of a process at mean `rate`: an
+/// exponential draw scaled by the two-point burstiness mixture (mean
+/// exactly 1). Queries and inserts run this process on independent
+/// `streams`.
+fn interarrival_secs(rate: f64, burstiness: f64, streams: (u64, u64), seed: u64, i: u64) -> f64 {
+    let exp = -unit(draw(seed, streams.0, i)).ln() / rate.max(1e-9);
+    let tight = 1.0 / (1.0 + burstiness.max(0.0));
+    let scale = if draw(seed, streams.1, i) & 1 == 0 { tight } else { 2.0 - tight };
     exp * scale
 }
 
 /// Per-query service-time jitter: lognormal around 1, clamped — stragglers
 /// exist even without queueing, so p99 > p50 at idle.
 fn service_jitter(seed: u64, i: u64) -> f64 {
-    let u1 = unit(mix(seed, STREAM_JITTER, i));
-    let u2 = unit(mix(seed, STREAM_JITTER, i ^ 0x8000_0000_0000_0000));
+    let u1 = unit(draw(seed, STREAM_JITTER, i));
+    let u2 = unit(draw(seed, STREAM_JITTER, i ^ 0x8000_0000_0000_0000));
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     (0.25 * z).exp().clamp(0.5, 3.0)
 }
 
-/// Run the serving simulation against an unreplicated deployment —
-/// [`simulate_replicated`] with one replica group, bit for bit.
+/// Serve `spec` read-only on one shared slot pool —
+/// [`simulate_replicated`] with a single replica group.
 pub fn simulate(
     model: &CostModel,
     sys: &SystemParams,
@@ -340,29 +347,36 @@ pub fn simulate(
     spec: &ServingSpec,
     seed: u64,
 ) -> ServingTrace {
-    simulate_replicated(model, sys, base_service_secs, spec, seed, 1)
+    simulate_mixed(
+        model,
+        sys,
+        base_service_secs,
+        spec,
+        seed,
+        SlotPool::new(model, sys, 1, PinningPolicy::Shared, 0),
+        None,
+    )
 }
 
-/// Run the serving simulation: `base_service_secs` is the per-query service
-/// time the cost model derived for this configuration
-/// ([`vdms::CostModel::service_secs_from_qps_replicated`]); arrivals,
-/// replica routing, consistency waits, bounded queueing and slot
+/// Serve `spec` read-only on `replicas` groups of shared worker slots,
+/// waiting for the analytic consistency watermark. `base_service_secs` is
+/// the per-query service time the cost model derived for this
+/// configuration ([`vdms::CostModel::service_secs_from_qps_replicated`]);
+/// arrivals, replica routing, consistency waits, bounded queueing and slot
 /// scheduling happen here.
 ///
-/// The deployment is `replicas` identical groups, each with its own
-/// bounded scheduler queue and [`vdms::CostModel::serving_slots`] worker
-/// slots. At every arrival the router ([`ServingSpec::routing`]) picks one
-/// group: join-shortest-queue reads the *real* per-group queue depths —
-/// this is where load-aware routing actually drains queues — while random
-/// routing draws a group from the seed. Consistency waits include the
-/// slowest replica's WAL staleness
-/// ([`vdms::CostModel::consistency_wait_secs_replicated`]).
+/// The deployment is `replicas` identical groups (at least one), each
+/// with its own bounded scheduler queue and
+/// [`vdms::CostModel::serving_slots`] worker slots. At every arrival the
+/// router ([`ServingSpec::routing`]) picks one group: join-shortest-queue
+/// reads the *real* per-group queue depths — this is where load-aware
+/// routing actually drains queues — while random routing draws a group
+/// from the seed. Consistency waits include the slowest replica's WAL
+/// staleness ([`vdms::CostModel::consistency_wait_secs_replicated`]).
+/// [`ServingSpec::insert_fraction`] is ignored: no insert arrives.
 ///
-/// The per-query draws are precomputed with a parallel, order-stable map
-/// (pure functions of the query index); the event loop that threads queue
-/// and slot state is serial. Same `(spec, seed, replicas)` ⇒ bit-identical
-/// trace on any thread count, and one replica is bit-identical to the
-/// pre-replication simulator.
+/// Same `(spec, seed, replicas)` ⇒ bit-identical trace on any thread
+/// count, and one replica is bit-identical to [`simulate`].
 pub fn simulate_replicated(
     model: &CostModel,
     sys: &SystemParams,
@@ -371,119 +385,37 @@ pub fn simulate_replicated(
     seed: u64,
     replicas: usize,
 ) -> ServingTrace {
-    let slots = model.serving_slots(sys);
-    let replicas = replicas.max(1);
-    let n = spec.requests;
-    if n == 0 || spec.arrival_qps <= 0.0 {
-        return ServingTrace {
-            events: Vec::new(),
-            slots,
-            replicas,
-            max_queue_depth: 0,
-            writes: WriteStats::default(),
-        };
-    }
-
-    // Parallel fan-out: each draw is a pure function of its index, and the
-    // shim's collect preserves input order, so this is thread-invariant.
-    let draws: Vec<(f64, f64)> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let i = i as u64;
-            (interarrival_secs(spec, seed, i), base_service_secs * service_jitter(seed, i))
-        })
-        .collect();
-
-    // Serial event loop: per-group queue + slot state threads through in
-    // arrival order. Slot free times and pending start times live in
-    // binary heaps keyed by `f64::to_bits` — monotone for the non-negative
-    // times the simulation produces, so the cheapest u64 ordering is the
-    // time ordering.
-    let mut slot_free: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..replicas).map(|_| (0..slots).map(|_| std::cmp::Reverse(0u64)).collect()).collect();
-    let mut waiting: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..replicas).map(|_| BinaryHeap::new()).collect();
-    let mut events = Vec::with_capacity(n);
-    let mut max_queue_depth = 0usize;
-    let mut clock = 0.0f64;
-    for (i, &(gap, service)) in draws.iter().enumerate() {
-        clock += gap;
-        let arrival = clock;
-
-        // Requests admitted earlier whose service has started by now have
-        // left their scheduler queues — drain every group, so the router
-        // sees current depths.
-        for group in waiting.iter_mut() {
-            while let Some(&std::cmp::Reverse(bits)) = group.peek() {
-                if f64::from_bits(bits) <= arrival {
-                    group.pop();
-                } else {
-                    break;
-                }
-            }
-        }
-
-        // Route: JSQ joins the shallowest queue (ties to the lowest group
-        // index); random draws a pure function of the request index.
-        let g = match spec.routing {
-            RoutingPolicy::JoinShortestQueue => (0..replicas)
-                .min_by_key(|&g| (waiting[g].len(), g))
-                .expect("replicas >= 1 by construction"),
-            RoutingPolicy::Random { seed: route_seed } => {
-                (mix(route_seed, STREAM_ROUTE, i as u64) % replicas as u64) as usize
-            }
-        };
-        max_queue_depth =
-            max_queue_depth.max(waiting.iter().map(BinaryHeap::len).max().unwrap_or(0));
-        if waiting[g].len() >= spec.queue_capacity {
-            events.push(QueryEvent {
-                arrival_secs: arrival,
-                consistency_wait_secs: 0.0,
-                service_secs: 0.0,
-                finish_secs: arrival,
-                shed: true,
-                replica: g,
-            });
-            continue;
-        }
-
-        let consistency = CostModel::consistency_wait_secs_replicated(sys, arrival, replicas);
-        let eligible = arrival + consistency;
-        let std::cmp::Reverse(free_bits) = slot_free[g].pop().expect("slots >= 1 by construction");
-        let start = eligible.max(f64::from_bits(free_bits));
-        let finish = start + service;
-        slot_free[g].push(std::cmp::Reverse(finish.to_bits()));
-        waiting[g].push(std::cmp::Reverse(start.to_bits()));
-        events.push(QueryEvent {
-            arrival_secs: arrival,
-            consistency_wait_secs: consistency,
-            service_secs: service,
-            finish_secs: finish,
-            shed: false,
-            replica: g,
-        });
-    }
-
-    ServingTrace { events, slots, replicas, max_queue_depth, writes: WriteStats::default() }
+    simulate_mixed(
+        model,
+        sys,
+        base_service_secs,
+        spec,
+        seed,
+        SlotPool::new(model, sys, replicas, PinningPolicy::Shared, 0),
+        None,
+    )
 }
 
-/// Run the serving simulation over **shard reactors**: each replica group
-/// runs [`vdms::CostModel::reactor_count`] single-owner reactors instead of
-/// one shared pool of worker slots. Every reactor is its own single-slot
-/// queue — there is no work stealing, which is the shared-nothing property
-/// — so the router chooses among `replicas × reactors` queues:
-/// join-shortest-queue reads the real per-reactor depths, random routing
-/// draws a flat queue index. A request served by reactor `r` pays the
-/// reactor's SMT scan penalty on its service time
+/// Serve `spec` read-only on the worker pool `policy` selects, waiting for
+/// the analytic consistency watermark like [`simulate_replicated`].
+///
+/// Any policy but [`PinningPolicy::Shared`] runs each replica group as
+/// [`vdms::CostModel::reactor_count`] single-owner **shard reactors**
+/// instead of one shared pool of worker slots. Every reactor is its own
+/// single-slot queue — there is no work stealing, which is the
+/// shared-nothing property — so the router chooses among `replicas ×
+/// reactors` queues: join-shortest-queue reads the real per-reactor
+/// depths, random routing draws a flat queue index. A request served by
+/// reactor `r` pays the reactor's SMT scan penalty on its service time
 /// ([`vdms::CostModel::reactor_scan_penalties`]) plus the delegator-merge
 /// handoff ([`vdms::CostModel::reactor_handoff_secs`]).
 ///
-/// Degenerate contracts, both bit-exact:
-/// * [`PinningPolicy::Shared`] delegates to [`simulate_replicated`] —
-///   the shared slot pool *is* the legacy execution model;
+/// Degenerate cases, both bit-exact:
+/// * [`PinningPolicy::Shared`] selects the shared slot pool, so it is
+///   [`simulate_replicated`];
 /// * a 1-reactor deployment (single-core [`vdms::HostTopology`]) walks the
-///   identical event-loop schedule as a 1-slot shared pool: penalty 1.0 and
-///   handoff 0.0 leave every service time bitwise untouched.
+///   identical schedule as a 1-slot shared pool: penalty 1.0 and handoff
+///   0.0 leave every service time bitwise untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_pinned(
     model: &CostModel,
@@ -495,115 +427,168 @@ pub fn simulate_pinned(
     policy: PinningPolicy,
     top_k: usize,
 ) -> ServingTrace {
-    if policy == PinningPolicy::Shared {
-        return simulate_replicated(model, sys, base_service_secs, spec, seed, replicas);
-    }
-    let replicas = replicas.max(1);
-    let reactors = model.reactor_count(policy, sys);
-    let scan_penalties = model.reactor_scan_penalties(policy, reactors);
-    let handoff_secs = model.reactor_handoff_secs(policy, reactors, top_k);
-    let queues = replicas * reactors;
-    let n = spec.requests;
-    if n == 0 || spec.arrival_qps <= 0.0 {
-        return ServingTrace {
-            events: Vec::new(),
-            slots: reactors,
-            replicas,
-            max_queue_depth: 0,
-            writes: WriteStats::default(),
-        };
-    }
+    simulate_mixed(
+        model,
+        sys,
+        base_service_secs,
+        spec,
+        seed,
+        SlotPool::new(model, sys, replicas, policy, top_k),
+        None,
+    )
+}
 
-    // Identical draw streams to the shared-pool simulator: arrivals and
-    // jitter are pure functions of the query index, so pinning changes
-    // *scheduling*, never the offered workload.
-    let draws: Vec<(f64, f64)> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let i = i as u64;
-            (interarrival_secs(spec, seed, i), base_service_secs * service_jitter(seed, i))
-        })
-        .collect();
+/// Serve **mixed read/write traffic** on `replicas` groups of shared
+/// worker slots: inserts arrive at `arrival_qps * insert_fraction` and
+/// flow through a [`WalSim`] write path with the candidate's
+/// [`WriteKnobs`] — group commits, seals and compactions compete with
+/// queries for the primary group's worker slots, and consistency waits
+/// resolve against real durability events.
+///
+/// `insert_fraction <= 0.0` selects the analytic watermark instead and
+/// offers no inserts, so the write-rate→0 case is [`simulate_replicated`]
+/// bit for bit.
+pub fn simulate_replicated_mixed(
+    model: &CostModel,
+    sys: &SystemParams,
+    base_service_secs: f64,
+    spec: &ServingSpec,
+    seed: u64,
+    replicas: usize,
+    knobs: WriteKnobs,
+) -> ServingTrace {
+    simulate_mixed(
+        model,
+        sys,
+        base_service_secs,
+        spec,
+        seed,
+        SlotPool::new(model, sys, replicas, PinningPolicy::Shared, 0),
+        writes_if_offered(spec, knobs),
+    )
+}
 
-    // One slot and one bounded queue per reactor: a reactor owns its work.
-    let mut slot_free: Vec<std::cmp::Reverse<u64>> = vec![std::cmp::Reverse(0u64); queues];
-    let mut waiting: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..queues).map(|_| BinaryHeap::new()).collect();
-    let mut events = Vec::with_capacity(n);
-    let mut max_queue_depth = 0usize;
-    let mut clock = 0.0f64;
-    for (i, &(gap, base)) in draws.iter().enumerate() {
-        clock += gap;
-        let arrival = clock;
+/// Serve **mixed read/write traffic** on the worker pool `policy` selects
+/// — [`simulate_pinned`]'s reactors, with the [`WalSim`] write path on
+/// reactor 0 of group 0 (the shard's primary reactor owns its WAL, the
+/// shared-nothing way), or [`simulate_replicated_mixed`]'s shared pool
+/// for [`PinningPolicy::Shared`].
+///
+/// `insert_fraction <= 0.0` selects the analytic watermark instead and
+/// offers no inserts, so the write-rate→0 case is [`simulate_pinned`] bit
+/// for bit.
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_pinned_mixed(
+    model: &CostModel,
+    sys: &SystemParams,
+    base_service_secs: f64,
+    spec: &ServingSpec,
+    seed: u64,
+    replicas: usize,
+    policy: PinningPolicy,
+    top_k: usize,
+    knobs: WriteKnobs,
+) -> ServingTrace {
+    simulate_mixed(
+        model,
+        sys,
+        base_service_secs,
+        spec,
+        seed,
+        SlotPool::new(model, sys, replicas, policy, top_k),
+        writes_if_offered(spec, knobs),
+    )
+}
 
-        for queue in waiting.iter_mut() {
-            while let Some(&std::cmp::Reverse(bits)) = queue.peek() {
-                if f64::from_bits(bits) <= arrival {
-                    queue.pop();
-                } else {
-                    break;
-                }
-            }
-        }
-
-        // Route across the flat reactor queues: JSQ joins the shallowest
-        // (ties to the lowest index — group 0, reactor 0 first, matching
-        // the shared pool's lowest-group tie break); random draws a queue.
-        let q = match spec.routing {
-            RoutingPolicy::JoinShortestQueue => (0..queues)
-                .min_by_key(|&q| (waiting[q].len(), q))
-                .expect("queues >= 1 by construction"),
-            RoutingPolicy::Random { seed: route_seed } => {
-                (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize
-            }
-        };
-        let (group, reactor) = (q / reactors, q % reactors);
-        max_queue_depth =
-            max_queue_depth.max(waiting.iter().map(BinaryHeap::len).max().unwrap_or(0));
-        if waiting[q].len() >= spec.queue_capacity {
-            events.push(QueryEvent {
-                arrival_secs: arrival,
-                consistency_wait_secs: 0.0,
-                service_secs: 0.0,
-                finish_secs: arrival,
-                shed: true,
-                replica: group,
-            });
-            continue;
-        }
-
-        let service = base * scan_penalties[reactor] + handoff_secs[reactor];
-        let consistency = CostModel::consistency_wait_secs_replicated(sys, arrival, replicas);
-        let eligible = arrival + consistency;
-        let std::cmp::Reverse(free_bits) = slot_free[q];
-        let start = eligible.max(f64::from_bits(free_bits));
-        let finish = start + service;
-        slot_free[q] = std::cmp::Reverse(finish.to_bits());
-        waiting[q].push(std::cmp::Reverse(start.to_bits()));
-        events.push(QueryEvent {
-            arrival_secs: arrival,
-            consistency_wait_secs: consistency,
-            service_secs: service,
-            shed: false,
-            finish_secs: finish,
-            replica: group,
-        });
-    }
-
-    ServingTrace {
-        events,
-        slots: reactors,
-        replicas,
-        max_queue_depth,
-        writes: WriteStats::default(),
+/// The consistency model a mixed entry point selects: the WAL path with
+/// `knobs` when the spec offers inserts, the analytic watermark otherwise.
+fn writes_if_offered(spec: &ServingSpec, knobs: WriteKnobs) -> Option<WriteKnobs> {
+    if spec.insert_fraction <= 0.0 {
+        None
+    } else {
+        Some(knobs)
     }
 }
 
-/// One event of the mixed read/write loop. Arrivals come from the two
-/// pre-sorted [`Arrivals`] streams; only the events the loop schedules
-/// while it runs (ticks, commit completions, retries) go through the heap.
-/// Inserts are indistinguishable until the WAL assigns an LSN, so their
-/// event carries no payload.
+/// The worker slots the loop schedules on. Each replica group has
+/// `per_group` queues: one shared pool of `slots` slots, or one
+/// single-owner reactor (a single slot, no work stealing) per queue.
+/// Write work (commits, seals, compactions) always lands on queue 0 — the
+/// primary's slots — which is exactly where it competes with queries.
+struct SlotPool {
+    /// Free times of each queue's slots, keyed by `f64::to_bits` —
+    /// monotone for the non-negative times the simulation produces, so
+    /// the cheapest u64 ordering is the time ordering.
+    free: Vec<BinaryHeap<Reverse<u64>>>,
+    /// Queues per replica group: 1 for the shared pool, else the reactors.
+    per_group: usize,
+    /// Slots per group — what [`ServingTrace::slots`] reports.
+    slots: usize,
+    /// Per-reactor SMT scan penalty and delegator-handoff seconds; empty
+    /// for the shared pool, which serves at base.
+    reactor_cost: Vec<(f64, f64)>,
+}
+
+impl SlotPool {
+    /// `replicas` groups (at least one) of the pool `policy` selects:
+    /// [`CostModel::serving_slots`] shared slots for
+    /// [`PinningPolicy::Shared`], [`CostModel::reactor_count`] reactors
+    /// priced for `top_k` otherwise.
+    fn new(
+        model: &CostModel,
+        sys: &SystemParams,
+        replicas: usize,
+        policy: PinningPolicy,
+        top_k: usize,
+    ) -> SlotPool {
+        let replicas = replicas.max(1);
+        if policy == PinningPolicy::Shared {
+            let slots = model.serving_slots(sys);
+            let free = vec![BinaryHeap::from(vec![Reverse(0); slots]); replicas];
+            return SlotPool { free, per_group: 1, slots, reactor_cost: Vec::new() };
+        }
+        let reactors = model.reactor_count(policy, sys);
+        let scan = model.reactor_scan_penalties(policy, reactors);
+        let handoff = model.reactor_handoff_secs(policy, reactors, top_k);
+        SlotPool {
+            free: vec![BinaryHeap::from(vec![Reverse(0)]); replicas * reactors],
+            per_group: reactors,
+            slots: reactors,
+            reactor_cost: scan.into_iter().zip(handoff).collect(),
+        }
+    }
+
+    fn group_of(&self, q: usize) -> usize {
+        q / self.per_group
+    }
+
+    /// Earliest-free time of queue `q`'s next slot (removed; pair with
+    /// [`SlotPool::push_slot`]).
+    fn pop_slot(&mut self, q: usize) -> f64 {
+        let Reverse(bits) = self.free[q].pop().expect("slots >= 1 by construction");
+        f64::from_bits(bits)
+    }
+
+    fn push_slot(&mut self, q: usize, busy_until: f64) {
+        self.free[q].push(Reverse(busy_until.to_bits()));
+    }
+
+    /// Per-query service time on queue `q`: reactors pay their SMT scan
+    /// penalty and delegator handoff, the shared pool serves at base.
+    fn service_secs(&self, q: usize, base: f64) -> f64 {
+        match self.reactor_cost.get(q % self.per_group) {
+            Some(&(scan, handoff)) => base * scan + handoff,
+            None => base,
+        }
+    }
+}
+
+/// One event of the serving loop. Arrivals come from the two pre-sorted
+/// [`Arrivals`] streams; only the events the write path schedules while
+/// the loop runs (ticks, commit completions, retries) go on the
+/// [`Agenda`]. Inserts are indistinguishable until the WAL assigns an
+/// LSN, so their event carries no payload.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// Query `i` arrives.
     Query(usize),
@@ -614,46 +599,40 @@ enum Ev {
     Tick,
     /// A recorded group commit finished — rows up to the LSN are durable.
     FlushDone(u64),
-    /// Query `query`, deferred because no triggered commit covered its
-    /// consistency cutoff, retries right after the tick that triggers the
-    /// covering commit.
-    Retry { query: usize, queue: usize, arrival_secs: f64, lsn: u64 },
+    /// Query `query`, routed to `queue` but deferred because no triggered
+    /// commit covered its consistency cutoff `lsn`, retries right after
+    /// the tick that triggers the covering commit.
+    Retry { query: usize, queue: usize, lsn: u64 },
 }
 
-/// Heap entry of the mixed event loop, ordered by `(time, push order)` —
-/// FIFO on time ties, so a tick pushed before a same-instant retry fires
-/// first and the loop is fully deterministic.
-struct Scheduled {
-    time_bits: u64,
+/// An event's place in the loop's order: its time's bits — monotone for
+/// the non-negative times the simulation produces — above its sequence
+/// number. `u128::MAX` sorts after every event and marks an empty source.
+fn order_key(time: f64, seq: u64) -> u128 {
+    (u128::from(time.to_bits()) << 64) | u128::from(seq)
+}
+
+/// The events the loop schedules as it runs, earliest [`order_key`]
+/// first: FIFO on time ties, so a tick pushed before a same-instant retry
+/// fires first and the loop is fully deterministic. Sequence numbers are
+/// unique, so the event itself never decides the order.
+struct Agenda {
+    heap: BinaryHeap<Reverse<(u128, Ev)>>,
     seq: u64,
-    ev: Ev,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        self.time_bits == other.time_bits && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    // Reversed: `BinaryHeap` is a max-heap, the loop wants earliest first.
-    // `time_bits` ordering is the time ordering for the non-negative
-    // times the simulation produces.
-    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
-        (other.time_bits, other.seq).cmp(&(self.time_bits, self.seq))
+impl Agenda {
+    fn push(&mut self, at: f64, ev: Ev) {
+        self.seq += 1;
+        self.heap.push(Reverse((order_key(at, self.seq), ev)));
     }
 }
 
-/// One arrival stream of the mixed loop, walked by a cursor. The times
-/// are prefix sums of non-negative gaps, hence already sorted — no heap
-/// needed. Entry `k` carries sequence number `seq_base + k + 1`, so
-/// `(time_bits, seq)` keys compare against the dynamic events' exactly as
-/// if every arrival had been pushed onto one heap before the first tick.
+/// One arrival stream of the loop, walked by a cursor. The times are
+/// prefix sums of non-negative gaps, hence already sorted — no heap
+/// needed. Entry `k` carries sequence number `seq_base + k + 1`, so its
+/// [`order_key`] compares against the [`Agenda`]'s exactly as if every
+/// arrival had been pushed onto one heap before the first tick.
 struct Arrivals {
     times: Vec<f64>,
     next: usize,
@@ -661,8 +640,7 @@ struct Arrivals {
 }
 
 impl Arrivals {
-    /// Accumulate `gaps` serially, in index order — the same running sum
-    /// the read-only loops advance their arrival clock by.
+    /// Accumulate `gaps` serially, in index order: the arrival clock.
     fn new(gaps: impl Iterator<Item = f64>, seq_base: u64) -> Arrivals {
         let mut clock = 0.0f64;
         let times = gaps
@@ -674,10 +652,11 @@ impl Arrivals {
         Arrivals { times, next: 0, seq_base }
     }
 
-    /// `(time_bits, seq)` of the next arrival, if any remain.
-    fn head(&self) -> Option<(u64, u64)> {
-        let t = self.times.get(self.next)?;
-        Some((t.to_bits(), self.seq_base + self.next as u64 + 1))
+    /// [`order_key`] of the next arrival (`u128::MAX` once exhausted).
+    fn head(&self) -> u128 {
+        self.times
+            .get(self.next)
+            .map_or(u128::MAX, |&t| order_key(t, self.seq_base + self.next as u64 + 1))
     }
 
     /// Consume the head; returns its index in the stream.
@@ -691,256 +670,229 @@ impl Arrivals {
     }
 }
 
-/// Take the earliest pending event by `(time_bits, seq)` across both
-/// arrival streams and the dynamic-event heap — a three-way merge that
-/// replays exactly the order one heap over all events would pop.
+/// Take the earliest pending event by [`order_key`] across both arrival
+/// streams and the agenda — a three-way merge that replays exactly the
+/// order one heap over all events would pop.
 fn pop_next(
     queries: &mut Arrivals,
     inserts: &mut Arrivals,
-    heap: &mut BinaryHeap<Scheduled>,
+    agenda: &mut Agenda,
 ) -> Option<(f64, Ev)> {
     let (query, insert) = (queries.head(), inserts.head());
-    let dynamic = heap.peek().map(|s| (s.time_bits, s.seq));
-    let key = [query, insert, dynamic].into_iter().flatten().min()?;
-    let ev = if Some(key) == query {
+    let dynamic = agenda.heap.peek().map_or(u128::MAX, |Reverse((key, _))| *key);
+    let key = query.min(insert).min(dynamic);
+    let ev = if key == u128::MAX {
+        return None;
+    } else if key == query {
         Ev::Query(queries.advance())
-    } else if Some(key) == insert {
+    } else if key == insert {
         inserts.advance();
         Ev::Insert
     } else {
-        heap.pop().expect("the earliest key is the heap's top").ev
+        let Reverse((_, ev)) = agenda.heap.pop().expect("the earliest key is the agenda's top");
+        ev
     };
-    Some((f64::from_bits(key.0), ev))
+    Some((f64::from_bits((key >> 64) as u64), ev))
 }
 
-fn sched(heap: &mut BinaryHeap<Scheduled>, seq: &mut u64, at: f64, ev: Ev) {
-    *seq += 1;
-    heap.push(Scheduled { time_bits: at.to_bits(), seq: *seq, ev });
+/// The write path's state: the WAL, and when its last group commit
+/// finishes (commits to one WAL serialize).
+struct WritePath {
+    wal: WalSim,
+    last_commit_finish: f64,
 }
 
-/// The worker slots the mixed loop schedules on: the shared per-group
-/// pool ([`simulate_replicated`]'s execution model) or single-owner
-/// reactors ([`simulate_pinned`]'s). Write work (commits, seals,
-/// compactions) always lands on queue 0 — the primary's slots — which is
-/// exactly where it competes with queries.
-enum SlotPool {
-    Shared {
-        free: Vec<BinaryHeap<std::cmp::Reverse<u64>>>,
-        slots: usize,
-    },
-    Reactors {
-        free: Vec<std::cmp::Reverse<u64>>,
-        reactors: usize,
-        scan: Vec<f64>,
-        handoff: Vec<f64>,
-    },
-}
-
-impl SlotPool {
-    fn queues(&self) -> usize {
-        match self {
-            SlotPool::Shared { free, .. } => free.len(),
-            SlotPool::Reactors { free, .. } => free.len(),
-        }
+impl WritePath {
+    /// Price and schedule a triggered group commit: it contends for a
+    /// primary (queue 0) worker slot like any query, serializes after the
+    /// previous commit, and its completion is a future event.
+    fn commit(
+        &mut self,
+        model: &CostModel,
+        pool: &mut SlotPool,
+        agenda: &mut Agenda,
+        job: FlushJob,
+        trigger_secs: f64,
+    ) {
+        let start = trigger_secs.max(pool.pop_slot(0)).max(self.last_commit_finish);
+        let finish = start + model.wal_flush_secs(job.rows);
+        pool.push_slot(0, finish);
+        self.last_commit_finish = finish;
+        self.wal.record_flush(job, trigger_secs, finish);
+        agenda.push(finish, Ev::FlushDone(job.upto_lsn));
     }
 
-    fn group_of(&self, q: usize) -> usize {
-        match self {
-            SlotPool::Shared { .. } => q,
-            SlotPool::Reactors { reactors, .. } => q / reactors,
-        }
-    }
-
-    /// What [`ServingTrace::slots`] reports: slots per group.
-    fn trace_slots(&self) -> usize {
-        match self {
-            SlotPool::Shared { slots, .. } => *slots,
-            SlotPool::Reactors { reactors, .. } => *reactors,
-        }
-    }
-
-    /// Earliest-free time of queue `q`'s next slot (removed; pair with
-    /// [`SlotPool::push_slot`]).
-    fn pop_slot(&mut self, q: usize) -> f64 {
-        match self {
-            SlotPool::Shared { free, .. } => {
-                let std::cmp::Reverse(bits) = free[q].pop().expect("slots >= 1 by construction");
-                f64::from_bits(bits)
-            }
-            SlotPool::Reactors { free, .. } => f64::from_bits(free[q].0),
-        }
-    }
-
-    fn push_slot(&mut self, q: usize, busy_until: f64) {
-        match self {
-            SlotPool::Shared { free, .. } => free[q].push(std::cmp::Reverse(busy_until.to_bits())),
-            SlotPool::Reactors { free, .. } => free[q] = std::cmp::Reverse(busy_until.to_bits()),
-        }
-    }
-
-    /// Per-query service time on queue `q`: reactors pay their SMT scan
-    /// penalty and delegator handoff, the shared pool serves at base.
-    fn service_secs(&self, q: usize, base: f64) -> f64 {
-        match self {
-            SlotPool::Shared { .. } => base,
-            SlotPool::Reactors { reactors, scan, handoff, .. } => {
-                let r = q % reactors;
-                base * scan[r] + handoff[r]
-            }
+    /// Commit every full batch pending at `now`.
+    fn commit_full_batches(
+        &mut self,
+        model: &CostModel,
+        pool: &mut SlotPool,
+        agenda: &mut Agenda,
+        now: f64,
+    ) {
+        while let Some(job) = self.wal.full_batch_job() {
+            self.commit(model, pool, agenda, job, now);
         }
     }
 }
 
-/// Start query `i` on queue `q`: its consistency wait is over (`visible`
-/// is when the data it must see became visible on its group), so it takes
-/// a slot and completes.
-#[allow(clippy::too_many_arguments)]
+/// When a query that arrived at `arrival_secs` may start under the WAL
+/// model, and its consistency wait: the rows it must see are durable at
+/// `durable_secs` on the primary (group 0) and one replication lag later
+/// on a replica.
+fn wal_eligible(arrival_secs: f64, durable_secs: f64, group: usize, lag_secs: f64) -> (f64, f64) {
+    let visible = if group == 0 { durable_secs } else { durable_secs + lag_secs };
+    let eligible = arrival_secs.max(visible);
+    (eligible, eligible - arrival_secs)
+}
+
+/// Start a query on queue `q`: its consistency wait (`wait_secs`) is over
+/// at `eligible_secs`, so it takes a slot and completes. The wait is
+/// passed in, not recomputed as `eligible - arrival`, because the
+/// watermark model records its analytic wait exactly.
 fn serve_query(
     pool: &mut SlotPool,
-    waiting: &mut [BinaryHeap<std::cmp::Reverse<u64>>],
-    events: &mut [Option<QueryEvent>],
-    i: usize,
+    waiting: &mut [BinaryHeap<Reverse<u64>>],
     q: usize,
     arrival_secs: f64,
-    visible_secs: f64,
+    (eligible_secs, wait_secs): (f64, f64),
     base_service: f64,
-) {
-    let eligible = arrival_secs.max(visible_secs);
+) -> QueryEvent {
     let service = pool.service_secs(q, base_service);
-    let start = eligible.max(pool.pop_slot(q));
+    let start = eligible_secs.max(pool.pop_slot(q));
     let finish = start + service;
     pool.push_slot(q, finish);
-    waiting[q].push(std::cmp::Reverse(start.to_bits()));
-    events[i] = Some(QueryEvent {
+    waiting[q].push(Reverse(start.to_bits()));
+    QueryEvent {
         arrival_secs,
-        consistency_wait_secs: eligible - arrival_secs,
+        consistency_wait_secs: wait_secs,
         service_secs: service,
         finish_secs: finish,
         shed: false,
         replica: pool.group_of(q),
-    });
+    }
 }
 
-/// Price and schedule a triggered group commit: it contends for a primary
-/// (queue 0) worker slot like any query, serializes after the previous
-/// commit to the same WAL, and its completion is a future event.
-#[allow(clippy::too_many_arguments)]
-fn schedule_commit(
-    model: &CostModel,
-    pool: &mut SlotPool,
-    wal: &mut WalSim,
-    heap: &mut BinaryHeap<Scheduled>,
-    seq: &mut u64,
-    last_commit_finish: &mut f64,
-    job: FlushJob,
-    trigger_secs: f64,
-) {
-    let free = pool.pop_slot(0);
-    let start = trigger_secs.max(free).max(*last_commit_finish);
-    let finish = start + model.wal_flush_secs(job.rows);
-    pool.push_slot(0, finish);
-    *last_commit_finish = finish;
-    wal.record_flush(job, trigger_secs, finish);
-    sched(heap, seq, finish, Ev::FlushDone(job.upto_lsn));
-}
-
-/// The discrete-event core of the mixed read/write simulation. Query and
-/// insert arrivals are two pre-sorted [`Arrivals`] streams; flush ticks,
-/// commit completions and deferred consistency retries — the events the
-/// loop schedules as it runs — live in a heap. Every step takes the
-/// earliest `(time, seq)` key among the two stream heads and the heap top
-/// ([`pop_next`]); the sequence numbers are the ones a single heap over
-/// all events would assign (arrivals pushed first, queries before
-/// inserts), so the merge pops exactly that heap's order.
-/// The loop is serial (all draws are precomputed pure functions of their
-/// index), so the trace is bit-identical across thread counts, like the
-/// read-only loops it generalizes.
-#[allow(clippy::too_many_arguments)]
+/// The serving event loop — the one every entry point runs. `pool`
+/// selects shared slots or reactors; `writes` selects the consistency
+/// model:
+///
+/// * `None` — the analytic watermark: each query waits
+///   [`CostModel::consistency_wait_secs_replicated`] after its arrival;
+///   no [`WalSim`], no ticks, and the insert stream stays empty whatever
+///   [`ServingSpec::insert_fraction`] says;
+/// * `Some(knobs)` — the write path: inserts arrive, WAL group commits,
+///   seals and compactions occupy the primary's slots, and each query
+///   waits for the commit that makes its `arrival - gracefulTime` cutoff
+///   durable ([`WalSim::durable_time_of`]).
+///
+/// Query and insert arrivals are two pre-sorted [`Arrivals`] streams;
+/// flush ticks, commit completions and deferred consistency retries live
+/// on the [`Agenda`]. Every step takes the earliest `(time, seq)` key
+/// among the two stream heads and the agenda's top ([`pop_next`]); the
+/// sequence numbers are the ones a single heap over all events would
+/// assign (arrivals pushed first, queries before inserts), so the merge
+/// pops exactly that heap's order. The loop is serial (all draws are
+/// precomputed pure functions of their index), so the trace is
+/// bit-identical across thread counts.
 fn simulate_mixed(
     model: &CostModel,
     sys: &SystemParams,
     base_service_secs: f64,
     spec: &ServingSpec,
     seed: u64,
-    replicas: usize,
     mut pool: SlotPool,
-    knobs: WriteKnobs,
+    writes: Option<WriteKnobs>,
 ) -> ServingTrace {
+    let queues = pool.free.len();
+    let replicas = queues / pool.per_group;
     let n = spec.requests;
-    let n_inserts = (n as f64 * spec.insert_fraction.max(0.0)).round() as usize;
-    let queues = pool.queues();
-    if (n == 0 && n_inserts == 0) || spec.arrival_qps <= 0.0 {
+    if n == 0 || spec.arrival_qps <= 0.0 {
         return ServingTrace {
             events: Vec::new(),
-            slots: pool.trace_slots(),
+            slots: pool.slots,
             replicas,
             max_queue_depth: 0,
             writes: WriteStats::default(),
         };
     }
+    let n_inserts = match writes {
+        Some(_) => (n as f64 * spec.insert_fraction.max(0.0)).round() as usize,
+        None => 0,
+    };
 
-    // Same parallel fan-out as the read-only loops: every draw is a pure
-    // function of its index, collected order-stably.
-    let qdraws: Vec<(f64, f64)> = (0..n)
+    // Parallel fan-out: each draw is a pure function of its index, and the
+    // shim's collect preserves input order, so this is thread-invariant.
+    let draws: Vec<(f64, f64)> = (0..n)
         .into_par_iter()
         .map(|i| {
             let i = i as u64;
-            (interarrival_secs(spec, seed, i), base_service_secs * service_jitter(seed, i))
+            (
+                interarrival_secs(spec.arrival_qps, spec.burstiness, QUERY_STREAMS, seed, i),
+                base_service_secs * service_jitter(seed, i),
+            )
         })
         .collect();
-    let igaps: Vec<f64> = (0..n_inserts)
+    let insert_rate = spec.arrival_qps * spec.insert_fraction;
+    let insert_gaps: Vec<f64> = (0..n_inserts)
         .into_par_iter()
-        .map(|j| insert_interarrival_secs(spec, seed, j as u64))
+        .map(|j| interarrival_secs(insert_rate, spec.burstiness, INSERT_STREAMS, seed, j as u64))
         .collect();
 
     // Backpressure and query queueing share the bound: the parking queue
     // holds at most `queue_capacity` inserts, and parked inserts occupy
     // the primary queue in the router's eyes.
-    let mut wal = WalSim::new(knobs, spec.queue_capacity);
-    let interval = wal.knobs().flush_interval_secs;
+    let mut path = writes.map(|knobs| WritePath {
+        wal: WalSim::new(knobs, spec.queue_capacity),
+        last_commit_finish: 0.0,
+    });
     let graceful_secs = sys.graceful_time_ms.max(0.0) / 1_000.0;
     let replica_lag_secs = CostModel::replica_lag_ms(replicas) / 1_000.0;
 
     // Arrivals take sequence numbers `1..=n` (queries) and
-    // `n+1..=n+n_inserts` (inserts); dynamic events number on from there,
-    // so same-instant ties resolve queries first, then inserts, then
-    // ticks, commit completions and retries in scheduling order.
-    let mut queries = Arrivals::new(qdraws.iter().map(|&(gap, _)| gap), 0);
-    let mut inserts = Arrivals::new(igaps.into_iter(), n as u64);
-    let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    let mut seq = (n + n_inserts) as u64;
-    let mut next_tick = interval;
-    sched(&mut heap, &mut seq, next_tick, Ev::Tick);
+    // `n+1..=n+n_inserts` (inserts); the agenda numbers on from there, so
+    // same-instant ties resolve queries first, then inserts, then ticks,
+    // commit completions and retries in scheduling order. Only the write
+    // path ticks.
+    let mut queries = Arrivals::new(draws.iter().map(|&(gap, _)| gap), 0);
+    let mut inserts = Arrivals::new(insert_gaps.into_iter(), n as u64);
+    let mut agenda = Agenda { heap: BinaryHeap::new(), seq: (n + n_inserts) as u64 };
+    let mut next_tick = 0.0;
+    if let Some(path) = &path {
+        next_tick = path.wal.knobs().flush_interval_secs;
+        agenda.push(next_tick, Ev::Tick);
+    }
 
-    let mut waiting: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..queues).map(|_| BinaryHeap::new()).collect();
+    let mut waiting: Vec<BinaryHeap<Reverse<u64>>> = vec![BinaryHeap::new(); queues];
+    // Retries resolve out of arrival order: each query fills its own entry.
     let mut events: Vec<Option<QueryEvent>> = vec![None; n];
     let mut max_queue_depth = 0usize;
-    let mut last_commit_finish = 0.0f64;
 
-    while let Some((now, ev)) = pop_next(&mut queries, &mut inserts, &mut heap) {
-        match ev {
-            Ev::Query(i) => {
-                // Drain started requests so the router sees current depths.
+    while let Some((now, ev)) = pop_next(&mut queries, &mut inserts, &mut agenda) {
+        match (ev, path.as_mut()) {
+            (Ev::Query(i), path) => {
+                // Requests admitted earlier whose service has started by
+                // now have left their scheduler queues — drain every
+                // queue, so the router sees current depths.
                 for queue in waiting.iter_mut() {
-                    while let Some(&std::cmp::Reverse(bits)) = queue.peek() {
-                        if f64::from_bits(bits) <= now {
-                            queue.pop();
-                        } else {
-                            break;
-                        }
+                    while queue.peek().is_some_and(|&Reverse(bits)| f64::from_bits(bits) <= now) {
+                        queue.pop();
                     }
                 }
                 // Backpressure is visible to reads: parked inserts occupy
                 // the primary queue, steering JSQ away and shedding
                 // queries once the shared bound fills.
-                let depth = |q: usize| waiting[q].len() + if q == 0 { wal.parked() } else { 0 };
+                let parked = path.as_ref().map_or(0, |path| path.wal.parked());
+                let depth = |q: usize| waiting[q].len() + if q == 0 { parked } else { 0 };
+                // Route: JSQ joins the shallowest queue (ties to the
+                // lowest index — group 0, reactor 0 first); random draws a
+                // pure function of the request index.
                 let q = match spec.routing {
                     RoutingPolicy::JoinShortestQueue => (0..queues)
                         .min_by_key(|&q| (depth(q), q))
                         .expect("queues >= 1 by construction"),
                     RoutingPolicy::Random { seed: route_seed } => {
-                        (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize
+                        (draw(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize
                     }
                 };
                 max_queue_depth = max_queue_depth.max((0..queues).map(&depth).max().unwrap_or(0));
@@ -955,80 +907,57 @@ fn simulate_mixed(
                     });
                     continue;
                 }
-                // Event-driven consistency: the query must see every row
-                // admitted at or before `arrival - gracefulTime` durable —
-                // resolved against the WAL's commit log, not the analytic
-                // quantized watermark.
-                let lsn = wal.last_lsn_at_or_before(now - graceful_secs);
-                match wal.durable_time_of(lsn) {
-                    Some(durable) => {
-                        let visible = if pool.group_of(q) == 0 {
-                            durable
-                        } else {
-                            durable + replica_lag_secs
-                        };
-                        serve_query(
-                            &mut pool,
-                            &mut waiting,
-                            &mut events,
-                            i,
-                            q,
-                            now,
-                            visible,
-                            qdraws[i].1,
-                        );
+                let eligible = match path {
+                    None => {
+                        let wait = CostModel::consistency_wait_secs_replicated(sys, now, replicas);
+                        (now + wait, wait)
                     }
-                    // No triggered commit covers the cutoff yet. The next
-                    // tick triggers everything pending (and fires before
-                    // the retry — pushed earlier, same instant), so one
-                    // retry always resolves.
-                    None => sched(
-                        &mut heap,
-                        &mut seq,
-                        next_tick,
-                        Ev::Retry { query: i, queue: q, arrival_secs: now, lsn },
-                    ),
-                }
+                    // The query must see every row admitted at or before
+                    // `arrival - gracefulTime` durable.
+                    Some(path) => {
+                        let lsn = path.wal.last_lsn_at_or_before(now - graceful_secs);
+                        match path.wal.durable_time_of(lsn) {
+                            Some(durable) => {
+                                wal_eligible(now, durable, pool.group_of(q), replica_lag_secs)
+                            }
+                            // No triggered commit covers the cutoff yet.
+                            // The next tick triggers everything pending
+                            // (and fires before the retry — pushed
+                            // earlier, same instant), so one retry always
+                            // resolves.
+                            None => {
+                                agenda.push(next_tick, Ev::Retry { query: i, queue: q, lsn });
+                                continue;
+                            }
+                        }
+                    }
+                };
+                let base = draws[i].1;
+                events[i] = Some(serve_query(&mut pool, &mut waiting, q, now, eligible, base));
             }
-            Ev::Insert => {
-                let _ = wal.offer_insert(now);
-                while let Some(job) = wal.full_batch_job() {
-                    schedule_commit(
-                        model,
-                        &mut pool,
-                        &mut wal,
-                        &mut heap,
-                        &mut seq,
-                        &mut last_commit_finish,
-                        job,
-                        now,
-                    );
-                }
+            (Ev::Insert, Some(path)) => {
+                let _ = path.wal.offer_insert(now);
+                path.commit_full_batches(model, &mut pool, &mut agenda, now);
             }
-            Ev::Tick => {
-                if let Some(job) = wal.tick_job() {
-                    schedule_commit(
-                        model,
-                        &mut pool,
-                        &mut wal,
-                        &mut heap,
-                        &mut seq,
-                        &mut last_commit_finish,
-                        job,
-                        now,
-                    );
+            (Ev::Tick, Some(path)) => {
+                if let Some(job) = path.wal.tick_job() {
+                    path.commit(model, &mut pool, &mut agenda, job, now);
                 }
                 // Keep ticking while anything can still need a deadline
                 // flush: arrivals or events ahead, or un-drained write
                 // state. This is the end-of-run drain — backpressure
                 // delays, never drops.
-                if queries.pending() || inserts.pending() || !heap.is_empty() || !wal.drained() {
-                    next_tick = now + interval;
-                    sched(&mut heap, &mut seq, next_tick, Ev::Tick);
+                if queries.pending()
+                    || inserts.pending()
+                    || !agenda.heap.is_empty()
+                    || !path.wal.drained()
+                {
+                    next_tick = now + path.wal.knobs().flush_interval_secs;
+                    agenda.push(next_tick, Ev::Tick);
                 }
             }
-            Ev::FlushDone(upto_lsn) => {
-                let done = wal.flush_done(upto_lsn, now);
+            (Ev::FlushDone(upto_lsn), Some(path)) => {
+                let done = path.wal.flush_done(upto_lsn, now);
                 // Seals and compactions occupy a primary worker slot too.
                 let rebuild = model.segment_seal_secs(done.sealed_rows)
                     + model.compaction_secs(done.compacted_rows);
@@ -1037,131 +966,44 @@ fn simulate_mixed(
                     pool.push_slot(0, start + rebuild);
                 }
                 // Un-parked admissions can fill whole batches at once.
-                while let Some(job) = wal.full_batch_job() {
-                    schedule_commit(
-                        model,
-                        &mut pool,
-                        &mut wal,
-                        &mut heap,
-                        &mut seq,
-                        &mut last_commit_finish,
-                        job,
-                        now,
-                    );
-                }
+                path.commit_full_batches(model, &mut pool, &mut agenda, now);
             }
-            Ev::Retry { query, queue, arrival_secs, lsn } => {
-                let durable = wal
+            (Ev::Retry { query, queue, lsn }, Some(path)) => {
+                let durable = path
+                    .wal
                     .durable_time_of(lsn)
                     .expect("the tick preceding a retry triggers every pending commit");
-                let visible =
-                    if pool.group_of(queue) == 0 { durable } else { durable + replica_lag_secs };
-                serve_query(
-                    &mut pool,
-                    &mut waiting,
-                    &mut events,
-                    query,
-                    queue,
-                    arrival_secs,
-                    visible,
-                    qdraws[query].1,
-                );
+                let arrival = queries.times[query];
+                let eligible =
+                    wal_eligible(arrival, durable, pool.group_of(queue), replica_lag_secs);
+                let base = draws[query].1;
+                events[query] =
+                    Some(serve_query(&mut pool, &mut waiting, queue, arrival, eligible, base));
             }
+            (_, None) => unreachable!("only the write path schedules write events"),
         }
     }
 
-    debug_assert!(wal.drained(), "the tick chain drains every accepted insert");
-    let writes = WriteStats {
-        offered: n_inserts,
-        accepted: wal.accepted(),
-        shed: wal.shed(),
-        flushes_full_batch: wal.flush_count(FlushReason::FullBatch),
-        flushes_end_of_tick: wal.flush_count(FlushReason::EndOfTick),
-        segments_sealed: wal.seals(),
-        compactions: wal.compactions(),
-        last_durable_lsn: wal.durable_lsn(),
-    };
+    let writes = path
+        .map(|WritePath { wal, .. }| {
+            debug_assert!(wal.drained(), "the tick chain drains every accepted insert");
+            WriteStats {
+                offered: n_inserts,
+                accepted: wal.accepted(),
+                shed: wal.shed(),
+                flushes_full_batch: wal.flush_count(FlushReason::FullBatch),
+                flushes_end_of_tick: wal.flush_count(FlushReason::EndOfTick),
+                segments_sealed: wal.seals(),
+                compactions: wal.compactions(),
+                last_durable_lsn: wal.durable_lsn(),
+            }
+        })
+        .unwrap_or_default();
     let events = events
         .into_iter()
         .map(|e| e.expect("every query resolves by the end of the run"))
         .collect();
-    ServingTrace { events, slots: pool.trace_slots(), replicas, max_queue_depth, writes }
-}
-
-/// [`simulate_replicated`] under **mixed read/write traffic**: inserts
-/// arrive at `arrival_qps * insert_fraction` and flow through a
-/// [`WalSim`] write path with the candidate's [`WriteKnobs`] — group
-/// commits, seals and compactions compete with queries for the primary
-/// group's worker slots, and consistency waits resolve against real
-/// durability events.
-///
-/// `insert_fraction <= 0.0` delegates to [`simulate_replicated`], so the
-/// write-rate→0 contract is bitwise by construction.
-pub fn simulate_replicated_mixed(
-    model: &CostModel,
-    sys: &SystemParams,
-    base_service_secs: f64,
-    spec: &ServingSpec,
-    seed: u64,
-    replicas: usize,
-    knobs: WriteKnobs,
-) -> ServingTrace {
-    if spec.insert_fraction <= 0.0 {
-        return simulate_replicated(model, sys, base_service_secs, spec, seed, replicas);
-    }
-    let replicas = replicas.max(1);
-    let slots = model.serving_slots(sys);
-    let pool = SlotPool::Shared {
-        free: (0..replicas)
-            .map(|_| (0..slots).map(|_| std::cmp::Reverse(0u64)).collect())
-            .collect(),
-        slots,
-    };
-    simulate_mixed(model, sys, base_service_secs, spec, seed, replicas, pool, knobs)
-}
-
-/// [`simulate_pinned`] under **mixed read/write traffic** — the reactor
-/// execution model with a [`WalSim`] write path on reactor 0 of group 0
-/// (the shard's primary reactor owns its WAL, the shared-nothing way).
-///
-/// Degenerate contracts, both bit-exact: [`PinningPolicy::Shared`]
-/// delegates to [`simulate_replicated_mixed`], and
-/// `insert_fraction <= 0.0` delegates to [`simulate_pinned`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_pinned_mixed(
-    model: &CostModel,
-    sys: &SystemParams,
-    base_service_secs: f64,
-    spec: &ServingSpec,
-    seed: u64,
-    replicas: usize,
-    policy: PinningPolicy,
-    top_k: usize,
-    knobs: WriteKnobs,
-) -> ServingTrace {
-    if policy == PinningPolicy::Shared {
-        return simulate_replicated_mixed(
-            model,
-            sys,
-            base_service_secs,
-            spec,
-            seed,
-            replicas,
-            knobs,
-        );
-    }
-    if spec.insert_fraction <= 0.0 {
-        return simulate_pinned(model, sys, base_service_secs, spec, seed, replicas, policy, top_k);
-    }
-    let replicas = replicas.max(1);
-    let reactors = model.reactor_count(policy, sys);
-    let pool = SlotPool::Reactors {
-        free: vec![std::cmp::Reverse(0u64); replicas * reactors],
-        reactors,
-        scan: model.reactor_scan_penalties(policy, reactors),
-        handoff: model.reactor_handoff_secs(policy, reactors, top_k),
-    };
-    simulate_mixed(model, sys, base_service_secs, spec, seed, replicas, pool, knobs)
+    ServingTrace { events, slots: pool.slots, replicas, max_queue_depth, writes }
 }
 
 /// `sorted[q]`-style percentile over an ascending slice (nearest-rank);
@@ -1814,7 +1656,9 @@ mod tests {
     fn burstiness_mixture_preserves_the_mean_rate() {
         let s = ServingSpec { arrival_qps: 1_000.0, burstiness: 2.0, ..Default::default() };
         let n = 200_000u64;
-        let total: f64 = (0..n).map(|i| interarrival_secs(&s, 42, i)).sum();
+        let total: f64 = (0..n)
+            .map(|i| interarrival_secs(s.arrival_qps, s.burstiness, QUERY_STREAMS, 42, i))
+            .sum();
         let mean = total / n as f64;
         assert!((mean - 0.001).abs() < 5e-5, "mean gap {mean} should be ~1ms");
     }
